@@ -136,6 +136,11 @@ public:
   /// Adds \p Delta to counter \p Name; the buffered event carries the
   /// post-update running total (what Chrome's counter track displays).
   void counter(const char *Name, int64_t Delta);
+  /// Adds \p Delta to counter \p Name without buffering an event: for
+  /// resource tallies (contexts created, ...) that describe how the run
+  /// was executed, not what it decided, and so stay out of the
+  /// deterministic event skeleton like histogram samples do.
+  void tally(const char *Name, int64_t Delta) { Counters[Name] += Delta; }
   /// Records a histogram sample (e.g. an SMT check latency in ms).
   /// Samples never enter the event stream: their values are wall-clock
   /// dependent and would break the deterministic skeleton.

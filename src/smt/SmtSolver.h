@@ -27,7 +27,8 @@ enum class Validity { Valid, Invalid, Unknown };
 const char *satResultName(SatResult R);
 
 /// A satisfying assignment handle. Valid only until the owning solver is
-/// mutated (add/pop) or destroyed.
+/// mutated (add/pop) or destroyed -- except that a Z3 model keeps its
+/// Z3Env alive and stays evaluable after its solver is gone.
 class SmtModel {
 public:
   virtual ~SmtModel();
@@ -93,9 +94,24 @@ protected:
   std::vector<logic::Term> LastAssumptions;
 };
 
-/// Creates a Z3-backed solver over \p M. The manager must outlive the
-/// solver.
+/// One Z3 context plus its term-translation cache (defined in
+/// smt/Z3Env.h). Solvers made in the same env share translations but not
+/// assertions, frames or timeouts; every solver and model made in an env
+/// keeps it alive. Creating and destroying a context costs milliseconds,
+/// so callers that make several short-lived solvers share one env. All
+/// solvers of one env must be used by one thread.
+class Z3Env;
+
+/// Creates an empty Z3 environment.
+std::shared_ptr<Z3Env> makeZ3Env();
+
+/// Creates a Z3-backed solver over \p M in an env of its own. The manager
+/// must outlive the solver.
 std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M);
+
+/// Creates a Z3-backed solver over \p M in \p Env.
+std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M,
+                                        std::shared_ptr<Z3Env> Env);
 
 /// Creates the from-scratch MiniSolver (see smt/MiniSolver.h) over \p M.
 std::unique_ptr<SmtSolver> makeMiniSolver(logic::TermManager &M);

@@ -7,12 +7,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "smt/SmtSolver.h"
+#include "smt/Z3Env.h"
 
 #include "logic/TermOps.h"
 
-#include <map>
-#include <z3++.h>
+#include <unordered_map>
 
 using namespace sharpie;
 using namespace sharpie::smt;
@@ -51,117 +50,108 @@ SatResult SmtSolver::checkAssuming(const std::vector<logic::Term> &A) {
   return R;
 }
 
-namespace {
+z3::expr Z3Env::toZ3(Term T) {
+  auto It = Cache.find(T);
+  if (It != Cache.end())
+    return It->second;
+  z3::expr E = translate(T);
+  Cache.emplace(T, E);
+  return E;
+}
 
-/// Translates terms to Z3 expressions with caching.
-class Z3Translator {
-public:
-  explicit Z3Translator(z3::context &C) : C(C) {}
-
-  z3::expr toZ3(Term T) {
-    auto It = Cache.find(T);
-    if (It != Cache.end())
-      return It->second;
-    z3::expr E = translate(T);
-    Cache.emplace(T, E);
+z3::expr Z3Env::translate(Term T) {
+  const logic::Node *N = T.node();
+  switch (N->kind()) {
+  case Kind::Var:
+    return mkVar(T);
+  case Kind::IntConst:
+    return C.int_val(static_cast<int64_t>(N->value()));
+  case Kind::BoolConst:
+    return C.bool_val(N->value() != 0);
+  case Kind::Add: {
+    z3::expr E = toZ3(N->kid(0));
+    for (unsigned I = 1; I < N->numKids(); ++I)
+      E = E + toZ3(N->kid(I));
     return E;
   }
-
-private:
-  z3::expr translate(Term T) {
-    const logic::Node *N = T.node();
-    switch (N->kind()) {
-    case Kind::Var:
-      return mkVar(T);
-    case Kind::IntConst:
-      return C.int_val(static_cast<int64_t>(N->value()));
-    case Kind::BoolConst:
-      return C.bool_val(N->value() != 0);
-    case Kind::Add: {
-      z3::expr E = toZ3(N->kid(0));
-      for (unsigned I = 1; I < N->numKids(); ++I)
-        E = E + toZ3(N->kid(I));
-      return E;
-    }
-    case Kind::Sub:
-      return toZ3(N->kid(0)) - toZ3(N->kid(1));
-    case Kind::Neg:
-      return -toZ3(N->kid(0));
-    case Kind::Mul:
-      return toZ3(N->kid(0)) * toZ3(N->kid(1));
-    case Kind::Ite:
-      return z3::ite(toZ3(N->kid(0)), toZ3(N->kid(1)), toZ3(N->kid(2)));
-    case Kind::Read:
-      return z3::select(toZ3(N->kid(0)), toZ3(N->kid(1)));
-    case Kind::Store:
-      return z3::store(toZ3(N->kid(0)), toZ3(N->kid(1)), toZ3(N->kid(2)));
-    case Kind::Eq:
-      return toZ3(N->kid(0)) == toZ3(N->kid(1));
-    case Kind::Le:
-      return toZ3(N->kid(0)) <= toZ3(N->kid(1));
-    case Kind::Lt:
-      return toZ3(N->kid(0)) < toZ3(N->kid(1));
-    case Kind::And: {
-      z3::expr_vector V(C);
-      for (Term K : N->kids())
-        V.push_back(toZ3(K));
-      return z3::mk_and(V);
-    }
-    case Kind::Or: {
-      z3::expr_vector V(C);
-      for (Term K : N->kids())
-        V.push_back(toZ3(K));
-      return z3::mk_or(V);
-    }
-    case Kind::Not:
-      return !toZ3(N->kid(0));
-    case Kind::Implies:
-      return z3::implies(toZ3(N->kid(0)), toZ3(N->kid(1)));
-    case Kind::Forall:
-    case Kind::Exists: {
-      z3::expr_vector Bound(C);
-      for (Term B : N->binders())
-        Bound.push_back(mkVar(B));
-      z3::expr Body = toZ3(N->body());
-      return N->kind() == Kind::Forall ? z3::forall(Bound, Body)
-                                       : z3::exists(Bound, Body);
-    }
-    case Kind::Card:
-      assert(false && "Card term reached the SMT back end; run ELIMCARD");
-      return C.int_val(0);
-    }
-    assert(false && "unhandled kind");
+  case Kind::Sub:
+    return toZ3(N->kid(0)) - toZ3(N->kid(1));
+  case Kind::Neg:
+    return -toZ3(N->kid(0));
+  case Kind::Mul:
+    return toZ3(N->kid(0)) * toZ3(N->kid(1));
+  case Kind::Ite:
+    return z3::ite(toZ3(N->kid(0)), toZ3(N->kid(1)), toZ3(N->kid(2)));
+  case Kind::Read:
+    return z3::select(toZ3(N->kid(0)), toZ3(N->kid(1)));
+  case Kind::Store:
+    return z3::store(toZ3(N->kid(0)), toZ3(N->kid(1)), toZ3(N->kid(2)));
+  case Kind::Eq:
+    return toZ3(N->kid(0)) == toZ3(N->kid(1));
+  case Kind::Le:
+    return toZ3(N->kid(0)) <= toZ3(N->kid(1));
+  case Kind::Lt:
+    return toZ3(N->kid(0)) < toZ3(N->kid(1));
+  case Kind::And: {
+    z3::expr_vector V(C);
+    for (Term K : N->kids())
+      V.push_back(toZ3(K));
+    return z3::mk_and(V);
+  }
+  case Kind::Or: {
+    z3::expr_vector V(C);
+    for (Term K : N->kids())
+      V.push_back(toZ3(K));
+    return z3::mk_or(V);
+  }
+  case Kind::Not:
+    return !toZ3(N->kid(0));
+  case Kind::Implies:
+    return z3::implies(toZ3(N->kid(0)), toZ3(N->kid(1)));
+  case Kind::Forall:
+  case Kind::Exists: {
+    z3::expr_vector Bound(C);
+    for (Term B : N->binders())
+      Bound.push_back(mkVar(B));
+    z3::expr Body = toZ3(N->body());
+    return N->kind() == Kind::Forall ? z3::forall(Bound, Body)
+                                     : z3::exists(Bound, Body);
+  }
+  case Kind::Card:
+    assert(false && "Card term reached the SMT back end; run ELIMCARD");
     return C.int_val(0);
   }
+  assert(false && "unhandled kind");
+  return C.int_val(0);
+}
 
-  z3::expr mkVar(Term T) {
-    const std::string &Name = T->name();
-    switch (T.sort()) {
-    case Sort::Bool:
-      return C.bool_const(Name.c_str());
-    case Sort::Int:
-    case Sort::Tid:
-      return C.int_const(Name.c_str());
-    case Sort::Array:
-      return C.constant(Name.c_str(),
-                        C.array_sort(C.int_sort(), C.int_sort()));
-    }
-    assert(false && "unhandled sort");
-    return C.int_val(0);
+z3::expr Z3Env::mkVar(Term T) {
+  const std::string &Name = T->name();
+  switch (T.sort()) {
+  case Sort::Bool:
+    return C.bool_const(Name.c_str());
+  case Sort::Int:
+  case Sort::Tid:
+    return C.int_const(Name.c_str());
+  case Sort::Array:
+    return C.constant(Name.c_str(), C.array_sort(C.int_sort(), C.int_sort()));
   }
+  assert(false && "unhandled sort");
+  return C.int_val(0);
+}
 
-  z3::context &C;
-  std::map<Term, z3::expr> Cache;
-};
+namespace {
 
+/// A Z3 model. Holding the env keeps the model evaluable after the solver
+/// that produced it is gone.
 class Z3Model final : public SmtModel {
 public:
-  Z3Model(z3::model Model, std::shared_ptr<Z3Translator> Tr)
-      : Model(std::move(Model)), Tr(std::move(Tr)) {}
+  Z3Model(std::shared_ptr<Z3Env> Env, z3::model Model)
+      : Env(std::move(Env)), Model(std::move(Model)) {}
 
   std::optional<int64_t> evalInt(Term T) override {
     try {
-      z3::expr E = Model.eval(Tr->toZ3(T), /*model_completion=*/true);
+      z3::expr E = Model.eval(Env->toZ3(T), /*model_completion=*/true);
       if (!E.is_numeral())
         return std::nullopt;
       return E.get_numeral_int64();
@@ -172,7 +162,7 @@ public:
 
   std::optional<bool> evalBool(Term T) override {
     try {
-      z3::expr E = Model.eval(Tr->toZ3(T), /*model_completion=*/true);
+      z3::expr E = Model.eval(Env->toZ3(T), /*model_completion=*/true);
       if (E.is_true())
         return true;
       if (E.is_false())
@@ -184,23 +174,21 @@ public:
   }
 
 private:
+  std::shared_ptr<Z3Env> Env; // Declared first: outlives Model.
   z3::model Model;
-  std::shared_ptr<Z3Translator> Tr;
 };
 
 class Z3SolverImpl final : public SmtSolver {
 public:
-  explicit Z3SolverImpl(logic::TermManager &M)
-      : M(M), Solver(Ctx), Tr(std::make_shared<Z3Translator>(Ctx)) {
-    (void)this->M;
-  }
+  explicit Z3SolverImpl(std::shared_ptr<Z3Env> E)
+      : Env(std::move(E)), Solver(Env->context()) {}
 
   void push() override { Solver.push(); }
   void pop() override { Solver.pop(); }
 
   void add(Term T) override {
     assert(T.sort() == Sort::Bool && "asserting a non-formula");
-    Solver.add(Tr->toZ3(T));
+    Solver.add(Env->toZ3(T));
   }
 
   SatResult check() override {
@@ -229,22 +217,24 @@ public:
     LastAssumptions = A;
     LastCore.clear();
     try {
-      z3::expr_vector V(Ctx);
+      z3::expr_vector V(Env->context());
       for (Term T : A)
-        V.push_back(Tr->toZ3(T));
+        V.push_back(Env->toZ3(T));
       z3::check_result R = Solver.check(V);
       if (R == z3::unsat) {
-        // Map the core literals back to Terms by AST identity: toZ3 is
-        // cached, so re-translating an assumption yields the exact ast Z3
-        // reported in the core.
+        // Map the core literals back to Terms by AST identity, through one
+        // hash of the translated assumptions (first index wins, so a
+        // duplicated literal maps to its first occurrence).
+        std::unordered_map<Z3_ast, size_t> Index;
+        Index.reserve(A.size());
+        for (unsigned I = 0; I < V.size(); ++I)
+          Index.emplace(static_cast<Z3_ast>(V[static_cast<int>(I)]), I);
         z3::expr_vector Core = Solver.unsat_core();
+        LastCore.reserve(Core.size());
         for (unsigned I = 0; I < Core.size(); ++I) {
-          Z3_ast CA = static_cast<Z3_ast>(Core[static_cast<int>(I)]);
-          for (Term T : A)
-            if (static_cast<Z3_ast>(Tr->toZ3(T)) == CA) {
-              LastCore.push_back(T);
-              break;
-            }
+          auto It = Index.find(static_cast<Z3_ast>(Core[static_cast<int>(I)]));
+          if (It != Index.end())
+            LastCore.push_back(A[It->second]);
         }
         return SatResult::Unsat;
       }
@@ -264,14 +254,14 @@ public:
 
   std::unique_ptr<SmtModel> model() override {
     try {
-      return std::make_unique<Z3Model>(Solver.get_model(), Tr);
+      return std::make_unique<Z3Model>(Env, Solver.get_model());
     } catch (const z3::exception &) {
       return nullptr;
     }
   }
 
   void setTimeoutMs(unsigned Ms) override {
-    z3::params P(Ctx);
+    z3::params P(Env->context());
     // Z3's timeout param treats 0 as "0 ms", not "disabled"; the
     // interface contract (SmtSolver.h) says 0 disables, and MiniSolver
     // already honors that, so map 0 to Z3's no-timeout sentinel.
@@ -280,18 +270,26 @@ public:
   }
 
 private:
-  logic::TermManager &M;
-  z3::context Ctx;
+  std::shared_ptr<Z3Env> Env; // Declared first: outlives Solver.
   z3::solver Solver;
-  std::shared_ptr<Z3Translator> Tr;
   std::string LastReason;
   std::vector<Term> LastCore;
 };
 
 } // namespace
 
+std::shared_ptr<Z3Env> sharpie::smt::makeZ3Env() {
+  return std::make_shared<Z3Env>();
+}
+
 std::unique_ptr<SmtSolver> sharpie::smt::makeZ3Solver(logic::TermManager &M) {
-  return std::make_unique<Z3SolverImpl>(M);
+  return makeZ3Solver(M, makeZ3Env());
+}
+
+std::unique_ptr<SmtSolver>
+sharpie::smt::makeZ3Solver(logic::TermManager &M, std::shared_ptr<Z3Env> Env) {
+  (void)M; // Terms are translated as given; the manager is not consulted.
+  return std::make_unique<Z3SolverImpl>(std::move(Env));
 }
 
 Validity sharpie::smt::checkValid(SmtSolver &S, logic::TermManager &M,

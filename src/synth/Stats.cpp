@@ -35,8 +35,11 @@ __attribute__((format(printf, 2, 3))) void appendf(std::string &Out,
 std::string sharpie::synth::renderStatsTable(const SynthStats &S,
                                              double WallSeconds) {
   std::string Out;
-  appendf(Out, "  search    tuples=%u smt_checks=%u workers=%u util=%.2f\n",
-          S.TuplesTried, S.SmtChecks, S.NumWorkers, S.WorkerUtilization);
+  appendf(Out,
+          "  search    tuples=%u smt_checks=%u smt_contexts=%u workers=%u"
+          " util=%.2f\n",
+          S.TuplesTried, S.SmtChecks, S.SmtContexts, S.NumWorkers,
+          S.WorkerUtilization);
   appendf(Out, "  atoms     pool=%u prefilter=%u invariant=%u\n",
           S.AtomsInPool, S.AtomsAfterPrefilter, S.AtomsInInvariant);
   appendf(Out, "  explicit  states=%u\n", S.ExplicitStates);
@@ -127,8 +130,9 @@ std::string sharpie::synth::renderInconclusiveReport(const SynthResult &Res) {
 
 std::string sharpie::synth::statsJsonFields(const SynthStats &S) {
   std::string Out;
-  appendf(Out, "\"tuples_tried\": %u, \"smt_checks\": %u", S.TuplesTried,
-          S.SmtChecks);
+  appendf(Out,
+          "\"tuples_tried\": %u, \"smt_checks\": %u, \"smt_contexts\": %u",
+          S.TuplesTried, S.SmtChecks, S.SmtContexts);
   appendf(Out, ", \"atoms_pool\": %u, \"atoms_prefilter\": %u"
                ", \"atoms_invariant\": %u",
           S.AtomsInPool, S.AtomsAfterPrefilter, S.AtomsInInvariant);

@@ -160,7 +160,8 @@ private:
   /// tryTuple plus the resilience envelope: fault-injection scoping for
   /// rank \p Rank, the "worker_task" injection site, and exception
   /// containment -- a throwing attempt marks the tuple skipped (with the
-  /// reason recorded) and the search continues with a fresh solver.
+  /// reason recorded) and the search continues. Every solver of the
+  /// attempt dies with it, so the next attempt starts fresh.
   TupleOutcome attemptTuple(size_t Rank, const std::vector<Term> &SetBodies,
                             const std::vector<Term> &Pool,
                             const std::vector<sys::ParamSystem::State>
@@ -297,7 +298,7 @@ private:
   void incSetup(const std::vector<ReducedClause> &Clauses,
                 const std::vector<Term> &Cand, smt::SmtSolver *Oracle);
   /// Destroys the merged context and forgets the tuple's state.
-  /// Idempotent; called on every tryTuple exit path and by resetSolver.
+  /// Idempotent; called on every tryTuple exit path.
   void incTeardown();
   std::vector<Term> incAssumptions() const;
   bool coreConsistent() const;
@@ -333,17 +334,19 @@ private:
                   const std::vector<sys::ParamSystem::State> &States,
                   std::string &Why);
 
-  /// Builds this synthesizer's standard solver stack for injection site
-  /// \p Site: supervised Z3 with a MiniSolver fallback factory, wired to
-  /// this synthesizer's counters, injector, trace buffer and deadline.
-  /// With supervision disabled, the bare Z3 back end (the A/B baseline).
-  std::unique_ptr<smt::SmtSolver> makeSolver(const char *Site);
-  /// Replaces the member Solver after an exception may have left it with
-  /// stale pushed frames (reusing it could discharge clauses vacuously).
-  /// The incremental context dies with the solver it was asserted on.
-  void resetSolver() {
-    Solver = makeSolver("smt_check");
-    Inc = IncCtx();
+  /// Builds this synthesizer's standard solver stack in \p Env for
+  /// injection site \p Site: supervised Z3 with a MiniSolver fallback
+  /// factory, wired to this synthesizer's counters, injector, trace buffer
+  /// and deadline. With supervision disabled, the bare Z3 back end (the
+  /// A/B baseline).
+  std::unique_ptr<smt::SmtSolver>
+  makeSolver(const char *Site, std::shared_ptr<smt::Z3Env> Env);
+  /// A fresh Z3 context, counted in Stats.SmtContexts and smt_contexts.
+  std::shared_ptr<smt::Z3Env> newEnv() {
+    ++Stats.SmtContexts;
+    if (TB)
+      TB->tally("smt_contexts", 1);
+    return smt::makeZ3Env();
   }
 
   sys::ParamSystem &Sys;
@@ -351,6 +354,13 @@ private:
   SynthOptions Opts;
   Formals F;
   SynthStats Stats;
+  /// The current tuple attempt's Z3 context, shared by the reduce oracle,
+  /// the member Solver, the recheck oracle and the monolithic recheck
+  /// solvers: one context per attempt instead of one per solver. The
+  /// merged Houdini context (Inc.S) is not in it -- see incSetup.
+  std::shared_ptr<smt::Z3Env> Env;
+  /// Monolithic Houdini/minimize checks and the incremental recheck; made
+  /// per tuple attempt in Env.
   std::unique_ptr<smt::SmtSolver> Solver;
   /// The merged per-tuple context of the incremental path (Opts.Incremental).
   IncCtx Inc;
@@ -958,7 +968,13 @@ void Synthesizer::incSetup(const std::vector<ReducedClause> &Clauses,
     Inc.Ind.push_back(IndK);
     Inc.IndIndex.emplace(IndK, K);
   }
-  Inc.S = makeSolver("smt_check");
+  // A context of its own, not the attempt's Env: Houdini's drops follow
+  // this context's models, and Z3's models depend on the context's AST
+  // history. Sharing Env would let the reduce oracle's translations steer
+  // which atoms drop, and on filter_lock with threads: 2 that exposes an
+  // open completeness hole (a spurious drop) and turns verified rows
+  // UNKNOWN.
+  Inc.S = makeSolver("smt_check", newEnv());
   Inc.Lazy.assign(Clauses.size(), 0);
   Inc.FullAsserted.assign(Clauses.size(), 0);
   for (size_t CI = 0; CI < Clauses.size(); ++CI) {
@@ -1447,12 +1463,12 @@ bool Synthesizer::recheck(Term Inv,
     Why = "recheck: invariant fails on an explicit reachable state";
     return false;
   }
-  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
+  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce", Env);
   for (const sys::Obligation &O : sys::safetyObligations(Sys, Inv)) {
     engine::ReduceResult R = engine::reduceToGroundCached(
         RC, M, O.Psi, Opts.Reduce, Oracle.get(), Sys.externalCounters(), {},
         TB);
-    std::unique_ptr<smt::SmtSolver> S = makeSolver("smt_check");
+    std::unique_ptr<smt::SmtSolver> S = makeSolver("smt_check", Env);
     S->add(R.Ground);
     ++Stats.SmtChecks;
     if (smt::checkTraced(*S, TB, "smt_ms.recheck", O.Name.c_str()) !=
@@ -1471,8 +1487,8 @@ bool Synthesizer::recheck(Term Inv,
 /// a full reduction AND a cold solver per obligation: (1) every obligation
 /// is first reduced lazily -- Unsat under the weaker lazy ground already
 /// discharges it, and only a surviving answer pays the full reduction;
-/// (2) all checks share the member solver (push/pop scoped), whose
-/// back-end translation cache is already warm from the Houdini phase.
+/// (2) all checks share the member solver (push/pop scoped), whose env's
+/// translation cache is already warm from clause building.
 /// Anything the monolithic recheck discharges is discharged here too, and
 /// vice versa: the full reduction always has the final word.
 bool Synthesizer::recheckInc(
@@ -1482,7 +1498,7 @@ bool Synthesizer::recheckInc(
     Why = "recheck: invariant fails on an explicit reachable state";
     return false;
   }
-  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
+  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce", Env);
   const engine::ReduceOptions Lazy = lazyReduceOptions();
   bool FirstCheck = true;
   for (const sys::Obligation &O : sys::safetyObligations(Sys, Inv)) {
@@ -1524,12 +1540,13 @@ bool Synthesizer::recheckInc(
 
 // -- Per-tuple pipeline ----------------------------------------------------------------
 
-std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
+std::unique_ptr<smt::SmtSolver>
+Synthesizer::makeSolver(const char *Site, std::shared_ptr<smt::Z3Env> Env) {
   if (!Opts.Supervise.Enabled) {
     // The bare back end, not a disabled wrapper: the overhead A/B
     // comparison should measure supervision against exactly yesterday's
     // code path.
-    auto S = smt::makeZ3Solver(M);
+    auto S = smt::makeZ3Solver(M, std::move(Env));
     S->setTimeoutMs(Opts.SmtTimeoutMs);
     return S;
   }
@@ -1537,8 +1554,8 @@ std::unique_ptr<smt::SmtSolver> Synthesizer::makeSolver(const char *Site) {
   if (Opts.Supervise.CrossCheckFallback)
     Fb = [this] { return smt::makeMiniSolver(M); };
   auto S = std::make_unique<resil::SupervisedSolver>(
-      smt::makeZ3Solver(M), std::move(Fb), Opts.Supervise, &RCnt,
-      Faults ? &*Faults : nullptr, Site, TB, Deadline);
+      smt::makeZ3Solver(M, std::move(Env)), std::move(Fb), Opts.Supervise,
+      &RCnt, Faults ? &*Faults : nullptr, Site, TB, Deadline);
   S->setTimeoutMs(Opts.SmtTimeoutMs);
   return S;
 }
@@ -1572,6 +1589,17 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
       }
     }
   }
+  // The attempt's solvers -- and with them any frames an exception left
+  // pushed, which could discharge later clauses vacuously -- die with the
+  // attempt on every exit path.
+  struct AttemptScope {
+    Synthesizer &S;
+    ~AttemptScope() {
+      S.Inc = IncCtx();
+      S.Solver.reset();
+      S.Env.reset();
+    }
+  } Scope{*this};
   try {
     if (InjectThrow)
       throw resil::InjectedFault("worker_task");
@@ -1586,10 +1614,6 @@ Synthesizer::TupleOutcome Synthesizer::attemptTuple(
       TB->logf(obs::LogLevel::Info, "[resil] tuple %zu skipped: %s",
                Rank + 1, Out.Why.c_str());
     }
-    // The escape may have unwound through a push()ed solver scope;
-    // reusing those stale frames could discharge later clauses
-    // vacuously, so the solver is rebuilt from scratch.
-    resetSolver();
     return Out;
   }
 }
@@ -1622,11 +1646,14 @@ Synthesizer::tryTuple(const std::vector<Term> &SetBodies,
                "atoms: %zu of %zu survive the explicit pre-filter (%.2fs)",
                Cand.size(), Pool.size(), PreSec);
 
-  // The build timer starts before the oracle is created: per-tuple solver
-  // setup is part of the clause-building cost, and keeping the phase
-  // timers contiguous lets --stats account (nearly) all of the wall time.
+  // The build timer starts before the solvers are created: per-tuple
+  // solver setup is part of the clause-building cost, and keeping the
+  // phase timers contiguous lets --stats account (nearly) all of the wall
+  // time.
   auto TBuild = std::chrono::steady_clock::now();
-  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce");
+  Env = newEnv();
+  Solver = makeSolver("smt_check", Env);
+  std::unique_ptr<smt::SmtSolver> Oracle = makeSolver("reduce", Env);
   std::vector<ReducedClause> Clauses;
   {
     obs::Span Sp(TB, "build_clauses");
@@ -1812,7 +1839,6 @@ void Synthesizer::runParallel(
     // as the traces (0 = driver/serial, W+1 = parallel worker W).
     if (C.Synth->Faults)
       C.Synth->Faults->setWorker(W + 1);
-    C.Synth->Solver = C.Synth->makeSolver("smt_check");
     std::vector<Term> WPool;
     WPool.reserve(Pool.size());
     for (Term A : Pool)
@@ -1961,6 +1987,7 @@ void Synthesizer::runParallel(
     const SynthStats &WS = C.Synth->Stats;
     Stats.TuplesTried += WS.TuplesTried;
     Stats.SmtChecks += WS.SmtChecks;
+    Stats.SmtContexts += WS.SmtContexts;
     Stats.PrefilterSeconds += WS.PrefilterSeconds;
     Stats.ReduceSeconds += WS.ReduceSeconds;
     Stats.HoudiniSeconds += WS.HoudiniSeconds;
@@ -2045,8 +2072,6 @@ SynthResult Synthesizer::run() {
   std::vector<SetCandidate> Cands = enumerateSetBodies(Sys, F);
   std::vector<Term> Pool = enumerateInvAtoms(Sys, F);
   Stats.AtomsInPool = static_cast<unsigned>(Pool.size());
-
-  Solver = makeSolver("smt_check");
 
   std::vector<std::vector<Term>> TupleBodies;
   if (!Opts.FixedSetBodies.empty()) {

@@ -170,6 +170,9 @@ struct SynthOptions {
 struct SynthStats {
   unsigned TuplesTried = 0;
   unsigned SmtChecks = 0;
+  /// Z3 contexts created: one shared per tuple attempt plus the merged
+  /// Houdini context of the incremental path.
+  unsigned SmtContexts = 0;
   unsigned AtomsInPool = 0;
   unsigned AtomsAfterPrefilter = 0;
   unsigned AtomsInInvariant = 0;
@@ -185,8 +188,8 @@ struct SynthStats {
   /// Per-phase busy time, summed over all workers (so in a parallel run
   /// the phases can exceed Seconds, which stays wall-clock).
   double ExplicitSeconds = 0;
-  /// Candidate enumeration: set-body/atom-pool grammar walks, tuple
-  /// ranking, and main-solver setup (driver only, once per run).
+  /// Candidate enumeration: set-body/atom-pool grammar walks and tuple
+  /// ranking (driver only, once per run).
   double EnumerateSeconds = 0;
   double PrefilterSeconds = 0;
   double ReduceSeconds = 0;

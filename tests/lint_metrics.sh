@@ -7,7 +7,7 @@
 #
 #   usage: lint_metrics.sh <repo-root>
 #
-# Emission sites: TraceBuffer::counter()/sample() calls, the traced
+# Emission sites: TraceBuffer::counter()/tally()/sample() calls, the traced
 # solver-check helpers (checkTraced / checkAssumingTraced carry the
 # phase-histogram name), and resil's bump() counter forwarder. Names are
 # the quoted [a-z0-9_.] literals on those lines; comment-only lines are
@@ -17,7 +17,7 @@ DESIGN="$ROOT/DESIGN.md"
 
 [ -r "$DESIGN" ] || { echo "missing $DESIGN"; exit 1; }
 
-NAMES=$(grep -rhE '(->counter\(|->sample\(|\bbump\(|checkTraced|checkAssumingTraced)' \
+NAMES=$(grep -rhE '(->counter\(|->tally\(|->sample\(|\bbump\(|checkTraced|checkAssumingTraced)' \
           "$ROOT/src" --include='*.cpp' --include='*.h' \
         | grep -vE '^[[:space:]]*//' \
         | grep -ohE '"[a-z][a-z0-9_.]*"' | tr -d '"' | sort -u)
