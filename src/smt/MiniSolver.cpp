@@ -123,6 +123,8 @@ private:
     return static_cast<unsigned>(Atoms.size() - 1);
   }
   unsigned atomVar(const Poly &P);
+  Lit leZeroLit(const Poly &P);
+  Lit gateLit(bool IsAnd, const std::vector<Lit> &Ls);
   std::optional<Lit> encode(Term T, std::vector<Term> &Side);
   void addClause(std::vector<Lit> C);
 
@@ -277,7 +279,7 @@ std::optional<Poly> MiniSolverImpl::linearize(Term T,
   }
   case Kind::Ite: {
     // Lift: fresh v with (c -> v = a) /\ (!c -> v = b).
-    Term V = M.freshVar("mini_ite", Sort::Int);
+    Term V = M.freshVar("mini_ite", T.sort());
     Side.push_back(M.mkAnd(
         M.mkImplies(N->kid(0), M.mkEq(V, N->kid(1))),
         M.mkImplies(M.mkNot(N->kid(0)), M.mkEq(V, N->kid(2)))));
@@ -304,6 +306,39 @@ unsigned MiniSolverImpl::atomVar(const Poly &P) {
   Atoms[V].IsArith = true;
   AtomCache.emplace(CacheKey, V);
   return V;
+}
+
+/// A literal for P <= 0; a constant P gives a fresh literal pinned to its
+/// truth value.
+Lit MiniSolverImpl::leZeroLit(const Poly &P) {
+  if (P.isConst()) {
+    unsigned V = freshBoolVar();
+    addClause({mkLit(V, P.Const > 0)});
+    return mkLit(V, false);
+  }
+  return mkLit(atomVar(P), false);
+}
+
+/// Tseitin: a fresh v with v <-> AND(ls) or v <-> OR(ls).
+Lit MiniSolverImpl::gateLit(bool IsAnd, const std::vector<Lit> &Ls) {
+  unsigned V = freshBoolVar();
+  Lit Out = mkLit(V, false);
+  if (IsAnd) {
+    std::vector<Lit> Big{Out};
+    for (Lit L : Ls) {
+      addClause({litNot(Out), L});
+      Big.push_back(litNot(L));
+    }
+    addClause(Big);
+  } else {
+    std::vector<Lit> Big{litNot(Out)};
+    for (Lit L : Ls) {
+      addClause({Out, litNot(L)});
+      Big.push_back(L);
+    }
+    addClause(Big);
+  }
+  return Out;
 }
 
 void MiniSolverImpl::addClause(std::vector<Lit> C) {
@@ -340,7 +375,6 @@ std::optional<Lit> MiniSolverImpl::encode(Term T, std::vector<Term> &Side) {
   }
   case Kind::And:
   case Kind::Or: {
-    bool IsAnd = N->kind() == Kind::And;
     std::vector<Lit> Ls;
     for (Term K : N->kids()) {
       auto L = encode(K, Side);
@@ -348,25 +382,7 @@ std::optional<Lit> MiniSolverImpl::encode(Term T, std::vector<Term> &Side) {
         return std::nullopt;
       Ls.push_back(*L);
     }
-    unsigned V = freshBoolVar();
-    Lit Out = mkLit(V, false);
-    // Tseitin: v <-> AND(ls) or v <-> OR(ls).
-    if (IsAnd) {
-      std::vector<Lit> Big{Out};
-      for (Lit L : Ls) {
-        addClause({litNot(Out), L});
-        Big.push_back(litNot(L));
-      }
-      addClause(Big);
-    } else {
-      std::vector<Lit> Big{litNot(Out)};
-      for (Lit L : Ls) {
-        addClause({Out, litNot(L)});
-        Big.push_back(L);
-      }
-      addClause(Big);
-    }
-    return Out;
+    return gateLit(N->kind() == Kind::And, Ls);
   }
   case Kind::Implies: {
     return encode(M.mkOr(M.mkNot(N->kid(0)), N->kid(1)), Side);
@@ -378,14 +394,26 @@ std::optional<Lit> MiniSolverImpl::encode(Term T, std::vector<Term> &Side) {
                   Side);
   }
   case Kind::Eq: {
-    if (N->kid(0).sort() == Sort::Array) {
+    switch (N->kid(0).sort()) {
+    case Sort::Array:
       // Array equalities must have been consumed by the definition pass.
       return std::nullopt;
+    case Sort::Bool:
+      // a = b  <=>  (a -> b) /\ (b -> a), as TermManager::mkEq builds it.
+      return encode(M.mkIff(N->kid(0), N->kid(1)), Side);
+    case Sort::Int:
+    case Sort::Tid: {
+      // a = b  <=>  a - b <= 0 /\ b - a <= 0. Thread ids are numbered like
+      // Ints, as in the Z3 back end; the bounds are built as polynomials,
+      // since Le terms are Int-only.
+      auto A = linearize(N->kid(0), Side), B = linearize(N->kid(1), Side);
+      if (!A || !B)
+        return std::nullopt;
+      Poly D = *A + B->negate();
+      return gateLit(/*IsAnd=*/true, {leZeroLit(D), leZeroLit(D.negate())});
     }
-    // a = b  <=>  a <= b /\ b <= a.
-    return encode(M.mkAnd(M.mkLe(N->kid(0), N->kid(1)),
-                          M.mkLe(N->kid(1), N->kid(0))),
-                  Side);
+    }
+    return std::nullopt;
   }
   case Kind::Le:
   case Kind::Lt: {
@@ -396,12 +424,7 @@ std::optional<Lit> MiniSolverImpl::encode(Term T, std::vector<Term> &Side) {
     Poly P = *A + B->negate();
     if (N->kind() == Kind::Lt)
       P.Const += 1;
-    if (P.isConst()) {
-      unsigned V = freshBoolVar();
-      addClause({mkLit(V, P.Const > 0)});
-      return mkLit(V, false);
-    }
-    return mkLit(atomVar(P), false);
+    return leZeroLit(P);
   }
   case Kind::Forall:
   case Kind::Exists:

@@ -106,7 +106,8 @@ class Z3Env;
 std::shared_ptr<Z3Env> makeZ3Env();
 
 /// Creates a Z3-backed solver over \p M in an env of its own. The manager
-/// must outlive the solver.
+/// must outlive the solver. Every Z3-backed solver is Z3's incremental SMT
+/// kernel, z3::solver::simple() (DESIGN.md section 10).
 std::unique_ptr<SmtSolver> makeZ3Solver(logic::TermManager &M);
 
 /// Creates a Z3-backed solver over \p M in \p Env.

@@ -178,10 +178,16 @@ private:
   z3::model Model;
 };
 
+/// Every solver runs on Z3's incremental SMT kernel (solver::simple()), not
+/// the default combined solver, whose tactic front end answers plain checks
+/// made before any push (the reduce oracle's, the monolithic recheck's) for
+/// ~4 ms more and makes each set(params) cost ~1 ms instead of ~0.02 ms
+/// (DESIGN.md section 10). tests/lint_solver.sh keeps this the only Z3
+/// solver the program builds.
 class Z3SolverImpl final : public SmtSolver {
 public:
   explicit Z3SolverImpl(std::shared_ptr<Z3Env> E)
-      : Env(std::move(E)), Solver(Env->context()) {}
+      : Env(std::move(E)), Solver(Env->context(), z3::solver::simple()) {}
 
   void push() override { Solver.push(); }
   void pop() override { Solver.pop(); }

@@ -335,10 +335,11 @@ private:
                   std::string &Why);
 
   /// Builds this synthesizer's standard solver stack in \p Env for
-  /// injection site \p Site: supervised Z3 with a MiniSolver fallback
-  /// factory, wired to this synthesizer's counters, injector, trace buffer
-  /// and deadline. With supervision disabled, the bare Z3 back end (the
-  /// A/B baseline).
+  /// injection site \p Site: supervised Z3 (the incremental SMT kernel,
+  /// so re-setting the per-check timeout costs microseconds) with a
+  /// MiniSolver fallback factory, wired to this synthesizer's counters,
+  /// injector, trace buffer and deadline. With supervision disabled, the
+  /// bare Z3 back end (the A/B baseline).
   std::unique_ptr<smt::SmtSolver>
   makeSolver(const char *Site, std::shared_ptr<smt::Z3Env> Env);
   /// A fresh Z3 context, counted in Stats.SmtContexts and smt_contexts.

@@ -146,6 +146,65 @@ TEST(SmtCross, AckermannCongruence) {
   EXPECT_EQ(S->check(), SatResult::Unsat);
 }
 
+/// Checks \p F with both back ends: each must answer \p Want, and a Sat
+/// answer must come with a MiniSolver model that satisfies \p F.
+void expectAgree(TermManager &M, Term F, SatResult Want) {
+  std::unique_ptr<smt::SmtSolver> Mini = smt::makeMiniSolver(M);
+  Mini->add(F);
+  EXPECT_EQ(Mini->check(), Want) << "MiniSolver on " << toString(F);
+  std::unique_ptr<smt::SmtSolver> Z3 = smt::makeZ3Solver(M);
+  Z3->add(F);
+  EXPECT_EQ(Z3->check(), Want) << "Z3 on " << toString(F);
+  if (Want == SatResult::Sat) {
+    std::unique_ptr<smt::SmtModel> Model = Mini->model();
+    ASSERT_NE(Model, nullptr);
+    EXPECT_EQ(Model->evalBool(F), std::optional<bool>(true))
+        << "MiniSolver model does not satisfy " << toString(F);
+  }
+}
+
+// Thread-id equalities reach the MiniSolver directly and through the
+// Ackermann congruence of reads (i = j -> a[i] = a[j]); they are encoded
+// without building a Le over Tid terms.
+TEST(SmtCross, TidEqualities) {
+  TermManager M;
+  Term I = M.mkVar("ti", Sort::Tid), J = M.mkVar("tj", Sort::Tid),
+       K = M.mkVar("tk", Sort::Tid);
+  Term A = M.mkVar("ta", Sort::Array);
+  Term X = M.mkVar("tx", Sort::Int);
+  Term AI = M.mkRead(A, I), AJ = M.mkRead(A, J);
+
+  expectAgree(M, M.mkAnd(M.mkEq(I, J), M.mkEq(J, K)), SatResult::Sat);
+  expectAgree(M, M.mkAnd({M.mkEq(I, J), M.mkEq(J, K), M.mkNe(I, K)}),
+              SatResult::Unsat);
+  expectAgree(M, M.mkAnd(M.mkNe(I, J), M.mkNe(AI, AJ)), SatResult::Sat);
+  expectAgree(M, M.mkAnd(M.mkEq(I, J), M.mkNe(AI, AJ)), SatResult::Unsat);
+  expectAgree(M,
+              M.mkAnd({M.mkNe(AI, AJ), M.mkEq(X, AI),
+                       M.mkOr(M.mkEq(I, J), M.mkEq(I, K))}),
+              SatResult::Sat);
+  expectAgree(M,
+              M.mkAnd({M.mkEq(AI, M.mkInt(1)), M.mkEq(AJ, M.mkInt(2)),
+                       M.mkOr(M.mkEq(I, K), M.mkEq(J, K)), M.mkEq(I, J)}),
+              SatResult::Unsat);
+}
+
+TEST(SmtCross, BoolEqualities) {
+  TermManager M;
+  Term B = M.mkVar("bb", Sort::Bool), C = M.mkVar("bc", Sort::Bool);
+  Term X = M.mkVar("bx", Sort::Int);
+  Term Pos = M.mkLt(M.mkInt(0), X);
+
+  expectAgree(M, M.mkAnd(M.mkEq(B, C), B), SatResult::Sat);
+  expectAgree(M, M.mkAnd({M.mkEq(B, C), B, M.mkNot(C)}), SatResult::Unsat);
+  expectAgree(M, M.mkAnd(M.mkEq(B, M.mkNot(C)), M.mkEq(B, C)),
+              SatResult::Unsat);
+  expectAgree(M, M.mkAnd({M.mkEq(B, Pos), B, M.mkEq(X, M.mkInt(3))}),
+              SatResult::Sat);
+  expectAgree(M, M.mkAnd({M.mkEq(B, Pos), B, M.mkLe(X, M.mkInt(0))}),
+              SatResult::Unsat);
+}
+
 TEST(SmtCross, PushPopScoping) {
   TermManager M;
   Term X = M.mkVar("x", Sort::Int);

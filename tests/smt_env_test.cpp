@@ -8,10 +8,15 @@
 //   * solvers in one smt::Z3Env share nothing but translations --
 //     assertions, push/pop frames and timeouts stay per solver;
 //   * a model keeps its env alive and stays evaluable after its solver is
-//     destroyed.
+//     destroyed;
+//   * the incremental SMT kernel the back end runs on answers a first plain
+//     check (no push, as the monolithic recheck makes it) and the push/pop
+//     and assumption checks after it, and its soft timeout reads as a
+//     timeout to resil and can be lifted again.
 //
 //===----------------------------------------------------------------------===//
 
+#include "resil/Resil.h"
 #include "smt/Z3Env.h"
 
 #include <gtest/gtest.h>
@@ -175,6 +180,62 @@ TEST(SmtEnv, SolversInOneEnvKeepTheirOwnTimeouts) {
   Patient->setTimeoutMs(1);
   Fast->setTimeoutMs(0);
   EXPECT_EQ(Fast->check(), SatResult::Unsat);
+}
+
+TEST(SmtEnv, FirstPlainCheckThenIncrementalChecks) {
+  TermManager M;
+  Term X = M.mkVar("x", Sort::Int);
+  Term G = M.mkVar("g", Sort::Bool);
+
+  // A fresh solver whose first check is plain, with no push.
+  std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
+  S->add(M.mkLe(M.mkInt(1), X));
+  S->add(M.mkLe(X, M.mkInt(3)));
+  S->add(M.mkImplies(G, M.mkLe(M.mkInt(4), X)));
+  ASSERT_EQ(S->check(), SatResult::Sat);
+  std::unique_ptr<smt::SmtModel> Model = S->model();
+  ASSERT_NE(Model, nullptr);
+  std::optional<int64_t> V = Model->evalInt(X);
+  ASSERT_TRUE(V.has_value());
+  EXPECT_TRUE(*V >= 1 && *V <= 3) << *V;
+
+  // Push/pop frames after it.
+  S->push();
+  S->add(M.mkLe(X, M.mkInt(0)));
+  EXPECT_EQ(S->check(), SatResult::Unsat);
+  S->pop();
+  S->push();
+  S->add(M.mkEq(X, M.mkInt(2)));
+  ASSERT_EQ(S->check(), SatResult::Sat);
+  EXPECT_EQ(S->model()->evalInt(X), std::optional<int64_t>(2));
+  S->pop();
+
+  // Assumption checks after it.
+  EXPECT_EQ(S->checkAssuming({G}), SatResult::Unsat);
+  EXPECT_EQ(S->unsatCore(), std::vector<Term>{G});
+  EXPECT_EQ(S->checkAssuming({M.mkNot(G)}), SatResult::Sat);
+  EXPECT_EQ(S->check(), SatResult::Sat);
+
+  // A fresh solver whose first plain check is Unsat.
+  std::unique_ptr<smt::SmtSolver> U = smt::makeZ3Solver(M);
+  U->add(M.mkLe(M.mkInt(1), X));
+  U->add(M.mkLe(X, M.mkInt(0)));
+  EXPECT_EQ(U->check(), SatResult::Unsat);
+}
+
+TEST(SmtEnv, TimeoutReadsAsTimeoutAndCanBeLifted) {
+  TermManager M;
+  std::unique_ptr<smt::SmtSolver> S = smt::makeZ3Solver(M);
+  // Seven holes take Z3 seconds, far past the 50 ms timeout.
+  for (Term T : pigeonhole(M, 7))
+    S->add(T);
+  S->setTimeoutMs(50);
+  ASSERT_EQ(S->check(), SatResult::Unknown);
+  EXPECT_EQ(resil::classifyUnknownReason(S->reasonUnknown()),
+            resil::FailureClass::Timeout)
+      << S->reasonUnknown();
+  S->setTimeoutMs(0);
+  EXPECT_EQ(S->check(), SatResult::Unsat);
 }
 
 TEST(SmtEnv, ModelOutlivesItsSolver) {
